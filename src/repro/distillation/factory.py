@@ -15,9 +15,10 @@ demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..qec import QECScheme
 from ..qubits import PhysicalQubitParams
@@ -26,6 +27,11 @@ from .units import DistillationUnit
 
 class TFactoryError(ValueError):
     """Raised when a pipeline is malformed or infeasible."""
+
+
+#: A pipeline's structure: one ``(unit, code distance)`` pair per round,
+#: the distance ``None`` for a round on bare physical qubits.
+PipelineShape = tuple[tuple[DistillationUnit, int | None], ...]
 
 
 @dataclass(frozen=True)
@@ -176,16 +182,109 @@ def evaluate_pipeline(
                 "physical-level distillation units may only appear in round 1"
             )
 
+    def clifford(distance: int | None) -> float:
+        if distance is None:
+            return qubit.clifford_error_rate
+        return scheme.logical_error_rate(qubit, distance)
+
+    shape = tuple((r.unit, r.code_distance) for r in rounds)
+    solved = _distill(
+        shape,
+        qubit.t_gate_error_rate,
+        clifford,
+        DistillationUnit.evaluate,
+    )
+    if solved is None:
+        return None
+    per_round, multiplicities = solved
+
+    footprints, physical_qubits, duration_ns = _footprint(
+        shape,
+        multiplicities,
+        functools.partial(_round_cost, qubit=qubit, scheme=scheme),
+    )
+    reports = tuple(
+        _RoundReport(
+            round=r,
+            num_units=mult,
+            failure_probability=failure,
+            input_error_rate=e_in,
+            output_error_rate=e_out,
+            physical_qubits=qubits,
+            duration_ns=duration,
+        )
+        for r, mult, (failure, e_in, e_out), (qubits, duration) in zip(
+            rounds, multiplicities, per_round, footprints
+        )
+    )
+    return TFactory(
+        rounds=reports,
+        physical_qubits=physical_qubits,
+        duration_ns=duration_ns,
+        output_t_states=rounds[-1].unit.num_output_ts,
+        output_error_rate=per_round[-1][2],
+        input_t_error_rate=qubit.t_gate_error_rate,
+    )
+
+
+def _round_cost(
+    unit: DistillationUnit,
+    distance: int | None,
+    qubit: PhysicalQubitParams,
+    scheme: QECScheme,
+) -> tuple[int, float]:
+    """Physical qubits of one unit copy and the round duration in ns."""
+    if distance is None:
+        assert unit.physical_spec is not None
+        duration = unit.physical_spec.duration.evaluate_positive(
+            qubit.formula_environment(1)
+        )
+        return unit.physical_spec.num_qubits, duration
+    assert unit.logical_spec is not None
+    return (
+        unit.logical_spec.num_logical_qubits * scheme.physical_qubits(qubit, distance),
+        unit.logical_spec.duration_in_cycles * scheme.cycle_time_ns(qubit, distance),
+    )
+
+
+def _footprint(
+    shape: PipelineShape,
+    multiplicities: Sequence[int],
+    round_cost: Callable[[DistillationUnit, int | None], tuple[int, float]],
+) -> tuple[list[tuple[int, float]], int, float]:
+    """Per-round ``(physical qubits, duration)`` and the factory totals.
+
+    ``round_cost(unit, distance)`` gives :func:`_round_cost`'s pair; the
+    catalog build passes a memoized version. Rounds share hardware, so
+    the factory needs the largest round footprint and the summed duration.
+    """
+    rounds: list[tuple[int, float]] = []
+    for (unit, distance), mult in zip(shape, multiplicities):
+        qubits, duration = round_cost(unit, distance)
+        rounds.append((mult * qubits, duration))
+    return rounds, max(q for q, _ in rounds), sum(d for _, d in rounds)
+
+
+def _distill(
+    shape: PipelineShape,
+    t_error_rate: float,
+    clifford: Callable[[int | None], float],
+    evaluate: Callable[[DistillationUnit, float, float], tuple[float, float]],
+) -> tuple[list[tuple[float, float, float]], list[int]] | None:
+    """Forward and backward pass of one pipeline.
+
+    ``clifford(distance)`` gives a round's Clifford error rate and
+    ``evaluate(unit, input error, clifford error)`` a unit's
+    ``(failure, output error)``; the catalog build passes memoized
+    versions of both. Returns ``(per_round, multiplicities)`` with
+    ``per_round[i] = (failure, input error, output error)``, or ``None``
+    when the pipeline is infeasible.
+    """
     # Forward pass: propagate error rates and per-unit failure.
-    error_rate = qubit.t_gate_error_rate
-    per_round: list[tuple[float, float, float]] = []  # (fail, e_in, e_out)
-    for r in rounds:
-        if r.is_physical:
-            clifford = qubit.clifford_error_rate
-        else:
-            assert r.code_distance is not None
-            clifford = scheme.logical_error_rate(qubit, r.code_distance)
-        failure, out_error = r.unit.evaluate(error_rate, clifford)
+    error_rate = t_error_rate
+    per_round: list[tuple[float, float, float]] = []
+    for unit, distance in shape:
+        failure, out_error = evaluate(unit, error_rate, clifford(distance))
         if failure >= 1.0:
             return None
         if out_error >= error_rate and out_error >= 1.0:
@@ -194,50 +293,10 @@ def evaluate_pipeline(
         error_rate = out_error
 
     # Backward pass: unit multiplicities. The final round runs one unit.
-    multiplicities = [0] * len(rounds)
+    multiplicities = [0] * len(shape)
     multiplicities[-1] = 1
-    for i in range(len(rounds) - 2, -1, -1):
-        needed_inputs = multiplicities[i + 1] * rounds[i + 1].unit.num_input_ts
-        failure = per_round[i][0]
-        produced_per_unit = rounds[i].unit.num_output_ts * (1.0 - failure)
+    for i in range(len(shape) - 2, -1, -1):
+        needed_inputs = multiplicities[i + 1] * shape[i + 1][0].num_input_ts
+        produced_per_unit = shape[i][0].num_output_ts * (1.0 - per_round[i][0])
         multiplicities[i] = math.ceil(needed_inputs / produced_per_unit)
-
-    # Footprint and duration.
-    reports: list[_RoundReport] = []
-    for r, mult, (failure, e_in, e_out) in zip(rounds, multiplicities, per_round):
-        if r.is_physical:
-            assert r.unit.physical_spec is not None
-            qubits = mult * r.unit.physical_spec.num_qubits
-            duration = r.unit.physical_spec.duration.evaluate_positive(
-                qubit.formula_environment(1)
-            )
-        else:
-            assert r.unit.logical_spec is not None and r.code_distance is not None
-            qubits = (
-                mult
-                * r.unit.logical_spec.num_logical_qubits
-                * scheme.physical_qubits(qubit, r.code_distance)
-            )
-            duration = r.unit.logical_spec.duration_in_cycles * scheme.cycle_time_ns(
-                qubit, r.code_distance
-            )
-        reports.append(
-            _RoundReport(
-                round=r,
-                num_units=mult,
-                failure_probability=failure,
-                input_error_rate=e_in,
-                output_error_rate=e_out,
-                physical_qubits=qubits,
-                duration_ns=duration,
-            )
-        )
-
-    return TFactory(
-        rounds=tuple(reports),
-        physical_qubits=max(rep.physical_qubits for rep in reports),
-        duration_ns=sum(rep.duration_ns for rep in reports),
-        output_t_states=rounds[-1].unit.num_output_ts,
-        output_error_rate=per_round[-1][2],
-        input_t_error_rate=qubit.t_gate_error_rate,
-    )
+    return per_round, multiplicities

@@ -7,22 +7,151 @@ keeps the feasible factory minimizing physical qubits, breaking ties by
 duration. This mirrors the tool's exploration of the "number of qubits
 versus runtime of the factories" trade-off and exposes the full frontier
 for callers that want to pick differently.
+
+The pipeline space does not depend on the required error rate, so the
+designer evaluates it once per (qubit, scheme) into a columnar
+:class:`FactoryCatalog`: parallel lists of physical qubits, duration,
+output error rate and output T states, plus each pipeline's shape, in
+enumeration order. The build tabulates the scheme's per-distance
+quantities, memoizes unit evaluations (pipelines share prefixes) and
+creates no factory objects; :meth:`FactoryCatalog.factory` materializes
+a :class:`TFactory` through :func:`evaluate_pipeline` only when one is
+asked for. The catalog also owns the preference index that the
+vectorized kernel searches.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..qec import QECScheme
 from ..qubits import PhysicalQubitParams
-from .factory import DistillationRound, TFactory, TFactoryError, evaluate_pipeline
+from .factory import (
+    DistillationRound,
+    PipelineShape,
+    TFactory,
+    TFactoryError,
+    _distill,
+    _footprint,
+    _round_cost,
+    evaluate_pipeline,
+)
 from .units import PREDEFINED_UNITS, DistillationUnit
 
 
 def _odd_distances(limit: int) -> list[int]:
     return list(range(1, limit + 1, 2))
+
+
+@dataclass(eq=False)
+class FactoryCatalog:
+    """The feasible pipelines of one (qubit, scheme), as parallel columns.
+
+    Entry ``k`` of every column describes the ``k``-th feasible pipeline
+    in the designer's enumeration order; ``shapes[k]`` is enough to
+    rebuild its :class:`TFactory` with :meth:`factory`.
+    """
+
+    qubit: PhysicalQubitParams
+    scheme: QECScheme
+    shapes: list[PipelineShape] = field(default_factory=list)
+    physical_qubits: list[int] = field(default_factory=list)
+    duration_ns: list[float] = field(default_factory=list)
+    output_error_rate: list[float] = field(default_factory=list)
+    output_t_states: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._factories: dict[int, TFactory] = {}
+
+    @classmethod
+    def build(
+        cls,
+        shapes: Iterable[PipelineShape],
+        qubit: PhysicalQubitParams,
+        scheme: QECScheme,
+    ) -> "FactoryCatalog":
+        """Evaluate every shape, keeping the feasible ones.
+
+        The numbers are those :func:`evaluate_pipeline` computes — the
+        forward and backward pass and the footprint are the same helpers —
+        but the scheme's formulas run once per (unit, distance) and each
+        unit's distillation once per distinct (input error, Clifford
+        error) pair.
+        """
+        catalog = cls(qubit, scheme)
+        cliffords: dict[int | None, float] = {None: qubit.clifford_error_rate}
+        round_costs: dict[tuple[int, int | None], tuple[int, float]] = {}
+        evaluations: dict[tuple[int, float, float], tuple[float, float]] = {}
+
+        def clifford(distance: int | None) -> float:
+            rate = cliffords.get(distance)
+            if rate is None:
+                rate = cliffords[distance] = scheme.logical_error_rate(qubit, distance)
+            return rate
+
+        def evaluate(
+            unit: DistillationUnit, input_error: float, clifford_error: float
+        ) -> tuple[float, float]:
+            key = (id(unit), input_error, clifford_error)
+            result = evaluations.get(key)
+            if result is None:
+                result = evaluations[key] = unit.evaluate(input_error, clifford_error)
+            return result
+
+        def round_cost(unit: DistillationUnit, distance: int | None) -> tuple[int, float]:
+            key = (id(unit), distance)
+            cost = round_costs.get(key)
+            if cost is None:
+                cost = round_costs[key] = _round_cost(unit, distance, qubit, scheme)
+            return cost
+
+        for shape in shapes:
+            solved = _distill(shape, qubit.t_gate_error_rate, clifford, evaluate)
+            if solved is None:
+                continue
+            per_round, multiplicities = solved
+            _, physical_qubits, duration_ns = _footprint(
+                shape, multiplicities, round_cost
+            )
+            catalog.shapes.append(shape)
+            catalog.physical_qubits.append(physical_qubits)
+            catalog.duration_ns.append(duration_ns)
+            catalog.output_error_rate.append(per_round[-1][2])
+            catalog.output_t_states.append(shape[-1][0].num_output_ts)
+        return catalog
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+    def factory(self, k: int) -> TFactory:
+        """The full :class:`TFactory` of entry ``k``, built on first request."""
+        factory = self._factories.get(k)
+        if factory is None:
+            rounds = [DistillationRound(unit, d) for unit, d in self.shapes[k]]
+            factory = evaluate_pipeline(rounds, self.qubit, self.scheme)
+            assert factory is not None  # only feasible shapes are kept
+            self._factories[k] = factory
+        return factory
+
+    @functools.cached_property
+    def preference_index(self) -> tuple[list[int], list[float]]:
+        """Entries in preference order, with the running minimum error.
+
+        The order sorts by ``(physical_qubits, duration_ns, k)``: the
+        designer's tie-break replaces its pick only on a strictly smaller
+        (qubits, duration), so earlier entries win ties. Along that order
+        the running minimum of output error rates is non-increasing, so
+        the first entry meeting a required error — the factory
+        :meth:`TFactoryDesigner.design` returns — is a binary search away.
+        """
+        qubits, durations = self.physical_qubits, self.duration_ns
+        order = sorted(range(len(self)), key=lambda k: (qubits[k], durations[k], k))
+        errors = self.output_error_rate
+        prefix_min = list(itertools.accumulate((errors[k] for k in order), min))
+        return order, prefix_min
 
 
 @dataclass
@@ -55,24 +184,29 @@ class TFactoryDesigner:
         # Feasible-factory catalog per (qubit, scheme): the pipeline space
         # does not depend on the required output error, so sweeps (Fig. 3/4)
         # evaluate it once and answer each query with a filtered minimum.
-        self._catalog_cache: dict[tuple, list[TFactory]] = {}
+        self._catalog_cache: dict[tuple, FactoryCatalog] = {}
 
-    def _catalog(self, qubit: PhysicalQubitParams, scheme: QECScheme) -> list[TFactory]:
+    def __getstate__(self) -> dict[str, Any]:
+        # Catalogs are rebuilt where they are used, never shipped: a
+        # pickled designer (a chunk payload) carries only its configuration.
+        state = self.__dict__.copy()
+        del state["_catalog_cache"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._catalog_cache = {}
+
+    def _catalog(self, qubit: PhysicalQubitParams, scheme: QECScheme) -> FactoryCatalog:
         key = (qubit, scheme)
         catalog = self._catalog_cache.get(key)
         if catalog is None:
-            catalog = []
-            for pipeline in self.candidate_pipelines(qubit, scheme):
-                factory = evaluate_pipeline(pipeline, qubit, scheme)
-                if factory is not None:
-                    catalog.append(factory)
+            catalog = FactoryCatalog.build(self._shapes(scheme), qubit, scheme)
             self._catalog_cache[key] = catalog
         return catalog
 
-    def candidate_pipelines(
-        self, qubit: PhysicalQubitParams, scheme: QECScheme
-    ) -> Iterator[list[DistillationRound]]:
-        """Yield structurally valid pipelines, without evaluating them.
+    def _shapes(self, scheme: QECScheme) -> Iterator[PipelineShape]:
+        """Enumerate pipeline shapes in catalog order.
 
         Distances are constrained to be non-decreasing across rounds:
         later rounds hold better T states, which would be wasted on a
@@ -81,33 +215,34 @@ class TFactoryDesigner:
         logical_units = [u for u in self.units if u.logical_spec is not None]
         physical_units = [u for u in self.units if u.physical_spec is not None]
         distances = _odd_distances(min(self.max_code_distance, scheme.max_code_distance))
-
+        # Round-1 options: physical units, then logical ones (which take
+        # a distance like every later round).
+        first_round_options = [(u, False) for u in physical_units] + [
+            (u, True) for u in logical_units
+        ]
         for num_rounds in range(1, self.max_rounds + 1):
-            # Choice of unit per round.
-            first_round_options: list[tuple[DistillationUnit, int | None]] = [
-                (u, None) for u in physical_units
-            ] + [(u, 0) for u in logical_units]  # 0 = placeholder for a distance
-            later_units: list[list[DistillationUnit]] = [
-                logical_units for _ in range(num_rounds - 1)
-            ]
-            for first, *rest in itertools.product(first_round_options, *later_units):
-                first_unit, first_kind = first
-                num_logical_rounds = (0 if first_kind is None else 1) + len(rest)
-                if num_logical_rounds == 0:
-                    yield [DistillationRound(first_unit, None)]
-                    continue
-                for combo in itertools.combinations_with_replacement(
-                    distances, num_logical_rounds
-                ):
-                    rounds = []
-                    combo_iter = iter(combo)
-                    if first_kind is None:
-                        rounds.append(DistillationRound(first_unit, None))
-                    else:
-                        rounds.append(DistillationRound(first_unit, next(combo_iter)))
-                    for unit in rest:
-                        rounds.append(DistillationRound(unit, next(combo_iter)))
-                    yield rounds
+            for (first, logical), *rest in itertools.product(
+                first_round_options, *[logical_units] * (num_rounds - 1)
+            ):
+                if logical:
+                    units = (first, *rest)
+                    for combo in itertools.combinations_with_replacement(
+                        distances, num_rounds
+                    ):
+                        yield tuple(zip(units, combo))
+                else:
+                    for combo in itertools.combinations_with_replacement(
+                        distances, num_rounds - 1
+                    ):
+                        yield ((first, None), *zip(rest, combo))
+
+    def candidate_pipelines(
+        self, qubit: PhysicalQubitParams, scheme: QECScheme
+    ) -> Iterator[list[DistillationRound]]:
+        """Yield structurally valid pipelines, without evaluating them,
+        in catalog order."""
+        for shape in self._shapes(scheme):
+            yield [DistillationRound(unit, d) for unit, d in shape]
 
     def design(
         self,
@@ -117,8 +252,9 @@ class TFactoryDesigner:
     ) -> TFactory:
         """Find the cheapest feasible factory for the target error rate.
 
-        Raises :class:`TFactoryError` if no pipeline in the search space
-        meets the requirement.
+        Prefers fewer physical qubits, then shorter duration; on a tie the
+        earlier catalog entry wins. Raises :class:`TFactoryError` if no
+        pipeline in the search space meets the requirement.
         """
         if required_output_error_rate <= 0:
             raise TFactoryError(
@@ -127,20 +263,24 @@ class TFactoryDesigner:
             )
         scheme.check_compatible(qubit)
 
-        best: TFactory | None = None
-        for factory in self._catalog(qubit, scheme):
-            if factory.output_error_rate > required_output_error_rate:
+        catalog = self._catalog(qubit, scheme)
+        qubits, durations = catalog.physical_qubits, catalog.duration_ns
+        best = -1
+        best_cost: tuple[int, float] = (0, 0.0)
+        for k, error in enumerate(catalog.output_error_rate):
+            if error > required_output_error_rate:
                 continue
-            if best is None or self._better(factory, best):
-                best = factory
-        if best is None:
+            cost = (qubits[k], durations[k])
+            if best < 0 or cost < best_cost:
+                best, best_cost = k, cost
+        if best < 0:
             raise TFactoryError(
                 f"no T factory in the search space reaches output error rate "
                 f"{required_output_error_rate:.3e} on {qubit.name!r} with "
                 f"scheme {scheme.name!r}; consider more rounds or a larger "
                 "max code distance"
             )
-        return best
+        return catalog.factory(best)
 
     def frontier(
         self,
@@ -149,21 +289,21 @@ class TFactoryDesigner:
         required_output_error_rate: float,
     ) -> list[TFactory]:
         """All Pareto-optimal feasible factories (qubits vs duration)."""
+        catalog = self._catalog(qubit, scheme)
+        qubits, durations = catalog.physical_qubits, catalog.duration_ns
         feasible = [
-            factory
-            for factory in self._catalog(qubit, scheme)
-            if factory.output_error_rate <= required_output_error_rate
+            k
+            for k, error in enumerate(catalog.output_error_rate)
+            if error <= required_output_error_rate
         ]
-        frontier: list[TFactory] = []
-        for f in sorted(feasible, key=lambda f: (f.physical_qubits, f.duration_ns)):
-            if all(f.duration_ns < g.duration_ns for g in frontier):
-                frontier.append(f)
-        return frontier
-
-    @staticmethod
-    def _better(a: TFactory, b: TFactory) -> bool:
-        """Prefer fewer physical qubits, then shorter duration."""
-        return (a.physical_qubits, a.duration_ns) < (b.physical_qubits, b.duration_ns)
+        feasible.sort(key=lambda k: (qubits[k], durations[k]))
+        # Sorted by qubits, a factory is Pareto-optimal when it is faster
+        # than every one kept so far, i.e. than the last one kept.
+        kept: list[int] = []
+        for k in feasible:
+            if not kept or durations[k] < durations[kept[-1]]:
+                kept.append(k)
+        return [catalog.factory(k) for k in kept]
 
 
 def design_t_factory(

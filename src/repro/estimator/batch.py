@@ -41,7 +41,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Hashable, Sequence
 
 from ..budget import ErrorBudget
@@ -305,6 +305,11 @@ _SHARED_CACHE = EstimateCache()
 #: Per-worker-process cache for parallel runs (initialized lazily).
 _WORKER_CACHE: EstimateCache | None = None
 
+#: Per-worker-process custom designers, one per configuration. Designers
+#: pickle without their catalogs, so chunks of the same custom designer
+#: share the catalogs of this resident copy instead of rebuilding them.
+_WORKER_DESIGNERS: dict[tuple, TFactoryDesigner] = {}
+
 #: Structured logger for executor degradation events. Disabled by
 #: default; the serve/work CLI entry points install theirs so fallback
 #: events land in the operator's JSON log stream.
@@ -394,6 +399,13 @@ def _load_kernel(required: bool):
     return kernel
 
 
+def _designer_key(designer: TFactoryDesigner) -> tuple:
+    """Identity of a designer's configuration: its type and every field."""
+    values = [getattr(designer, f.name) for f in fields(designer)]
+    # ``units`` may be any sequence; a list would not hash.
+    return (type(designer), tuple(designer.units), *values[1:])
+
+
 def _run_chunk(
     payload: tuple[int, list[EstimateRequest], TFactoryDesigner | None, str],
 ) -> tuple[int, list[tuple[PhysicalResourceEstimates | None, str | None]]]:
@@ -402,12 +414,14 @@ def _run_chunk(
     ``payload`` carries the parent's custom factory designer (``None`` for
     the shared default) and the requested kernel backend; a custom
     designer gets a chunk-local cache so parallel results match what the
-    same cache produces serially.
+    same cache produces serially. The cache uses the worker's resident
+    designer of the same configuration, whose catalogs outlive the chunk.
     """
     global _WORKER_CACHE
     start, requests, designer, backend = payload
     if designer is not None:
-        cache = EstimateCache(designer=designer)
+        resident = _WORKER_DESIGNERS.setdefault(_designer_key(designer), designer)
+        cache = EstimateCache(designer=resident)
     else:
         if _WORKER_CACHE is None:
             _WORKER_CACHE = EstimateCache()

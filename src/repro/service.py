@@ -97,6 +97,7 @@ share one warm :class:`~repro.estimator.batch.EstimateCache`.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import threading
@@ -1432,6 +1433,14 @@ class ServiceClient:
                 if attempt >= self.retries:
                     raise ServiceError(f"cannot reach {url}: {exc.reason}") from exc
                 error = ServiceError(f"cannot reach {url}: {exc.reason}")
+            except (ConnectionResetError, http.client.IncompleteRead) as exc:
+                # The connection dropped while the response was read (this
+                # covers RemoteDisconnected, a ConnectionResetError); urllib
+                # wraps only errors raised while sending in URLError.
+                message = f"connection to {url} lost: {exc!r}"
+                if attempt >= self.retries:
+                    raise ServiceError(message) from exc
+                error = ServiceError(message)
             time.sleep(self._retry_delay(attempt))
         raise error  # unreachable: the last attempt raised above
 

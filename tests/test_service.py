@@ -357,6 +357,58 @@ class TestClientRetries:
             client._request("/v1/healthz")
         assert len(attempts) == 1
 
+    @pytest.mark.parametrize("first_reply", ["reset", "truncated"])
+    def test_connection_lost_while_reading_is_retried(self, first_reply):
+        # Regression: a reset (ConnectionResetError/RemoteDisconnected) or
+        # a short body (IncompleteRead) raised while reading the response
+        # is not a URLError, and used to escape the retry loop.
+        import socket
+        import struct
+
+        body = b'{"ok": true}'
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def serve():
+            for attempt in range(2):
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)  # the whole (GET) request
+                    if attempt == 0 and first_reply == "reset":
+                        conn.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                        )
+                        continue  # closing with linger 0 sends an RST
+                    length = len(body) + (10 if attempt == 0 else 0)
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+                        % (length, body)
+                    )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{port}", timeout=10, retries=1, backoff=0.001
+            )
+            assert client._request("/v1/healthz") == {"ok": True}
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+
+    def test_connection_lost_on_last_attempt_raises_service_error(self):
+        import http.client
+
+        client = self._client(retries=1)
+        attempts = self._stub(
+            client, [ConnectionResetError("reset"), http.client.IncompleteRead(b"")]
+        )
+        with pytest.raises(ServiceError, match="connection to .* lost"):
+            client._request("/v1/healthz")
+        assert len(attempts) == 2
+
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
             ServiceClient("http://stub.invalid", retries=-1)
