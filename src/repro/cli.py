@@ -1526,10 +1526,7 @@ def _bench_sweep_engine(
         return outcomes, max(time.perf_counter() - start, 1e-9), chunks
 
     def portable(outcomes: list) -> list:
-        return [
-            outcome.result.to_dict() if outcome.result is not None else None
-            for outcome in outcomes
-        ]
+        return [outcome.document for outcome in outcomes]
 
     passes: dict[str, dict[str, dict[str, float]]] = {}
     baseline: list | None = None

@@ -54,13 +54,16 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
-from .result import PhysicalResourceEstimates
+from .result import HoldsEstimate, LazyEstimate, PhysicalResourceEstimates
 from .spec import run_specs
 from .store import OPTIMIZE_DOC_SCHEMA
 from .sweep import (
     FRONTIER_OBJECTIVES,
     SweepAxis,
     SweepSpec,
+    _hashed_points,
+    _resolved_hashes,
+    _stored_estimate,
     pareto_min_indices,
     run_sweep,
 )
@@ -286,54 +289,51 @@ class OptimizeSpec:
         spellings hash identically, so one finished optimize answers every
         equivalent resubmission.
         """
+        return self._hash_with_points(registry)[0]
+
+    def _hash_with_points(
+        self, registry: "Registry | None"
+    ) -> tuple[str, list[str | None]]:
+        """:meth:`content_hash` plus the resolved grid-point hashes."""
         import hashlib
 
         from .spec import SPEC_SCHEMA
 
-        points = []
-        for point in self.sweep_spec().expand():
-            try:
-                spec_hash = point.spec.content_hash(registry)
-            except KeyError:
-                spec_hash = point.spec.content_hash()  # unresolvable names
-            points.append(
-                {"coords": [[f, v] for f, v in point.coords], "spec": spec_hash}
-            )
+        points = self.sweep_spec().expand()
+        hashes = _resolved_hashes(points, registry)
         canonical = {
             "schema": OPTIMIZE_SCHEMA,
             "specSchema": SPEC_SCHEMA,
             "objective": self.objective,
             "constraints": self.constraints.to_dict(),
-            "points": points,
+            "points": _hashed_points(points, hashes),
         }
         payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(f"{OPTIMIZE_SCHEMA}\n{payload}".encode()).hexdigest()
+        digest = hashlib.sha256(f"{OPTIMIZE_SCHEMA}\n{payload}".encode()).hexdigest()
+        return digest, hashes
 
 
 @dataclass(frozen=True, eq=False)
-class OptimizeProbe:
+class OptimizeProbe(HoldsEstimate):
     """One evaluated grid point: spec hash, estimate, and its verdict.
 
     ``index`` is the point's position in the dense grid
-    (:meth:`OptimizeSpec.sweep_spec` expansion order). ``feasible`` is
-    the answer-level verdict: estimation succeeded *and* every optimize
-    constraint holds. ``from_store`` is execution provenance — excluded
-    from :meth:`to_dict` so a resumed optimize serializes bit-for-bit
-    equal to an uninterrupted one.
+    (:meth:`OptimizeSpec.sweep_spec` expansion order). ``estimate`` is
+    decoded to :attr:`result` only on demand, so replaying a stored trace
+    decodes nothing. ``feasible`` is the answer-level verdict: estimation
+    succeeded *and* every optimize constraint holds. ``from_store`` is
+    execution provenance — excluded from :meth:`to_dict` so a resumed
+    optimize serializes bit-for-bit equal to an uninterrupted one.
     """
 
     index: int
     coords: tuple[tuple[str, Any], ...]
     label: str | None
     spec_hash: str
-    result: PhysicalResourceEstimates | None
+    estimate: LazyEstimate | None
     error: str | None
     feasible: bool
     from_store: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -343,7 +343,7 @@ class OptimizeProbe:
             "specHash": self.spec_hash,
             "ok": self.ok,
             "feasible": self.feasible,
-            "result": self.result.to_dict() if self.result is not None else None,
+            "result": self.document,
             "error": self.error,
         }
 
@@ -356,11 +356,7 @@ class OptimizeProbe:
             ),
             label=entry.get("label"),
             spec_hash=entry["specHash"],
-            result=(
-                PhysicalResourceEstimates.from_dict(entry["result"])
-                if entry.get("result") is not None
-                else None
-            ),
+            estimate=_stored_estimate(entry),
             error=entry.get("error"),
             feasible=bool(entry.get("feasible")),
         )
@@ -913,7 +909,7 @@ def run_optimize(
         raise ValueError("executor='queue' requires a result store")
     if pool not in ("keep", "per-call"):
         raise ValueError(f"unknown pool mode {pool!r}: use 'keep' or 'per-call'")
-    optimize_hash = spec.content_hash(resolved_registry)
+    optimize_hash, point_hashes = spec._hash_with_points(resolved_registry)
     if store is not None:
         trace = store.get_optimize(optimize_hash)
         if (
@@ -958,15 +954,12 @@ def run_optimize(
 
     def evaluate(indices: list[int]) -> tuple[int, int]:
         """Probe a deduped batch of grid points; returns (evals, hits)."""
-        specs = [search.points[index].spec for index in indices]
+        hashes = [point_hashes[index] for index in indices]
         if executor == "queue":
-            hashes = []
-            for point_spec in specs:
-                try:
-                    hashes.append(point_spec.content_hash(resolved_registry))
-                except KeyError:
-                    hashes.append(point_spec.content_hash())
-            already = [store.get(point_hash) is not None for point_hash in hashes]
+            already = [
+                point_hash is not None and point_hash in store
+                for point_hash in hashes
+            ]
             probe_sweep = SweepSpec(
                 axes=tuple(
                     SweepAxis(
@@ -981,7 +974,7 @@ def run_optimize(
                 base=spec.base,
                 mode="zip",
             )
-            sweep_result = run_sweep(
+            outcomes = run_sweep(
                 probe_sweep,
                 registry=resolved_registry,
                 store=store,
@@ -993,38 +986,33 @@ def run_optimize(
                 lock=lock,
                 engine=engine,
                 pool=pool,
-            )
-            outcomes = [
-                (point.spec_hash, point.result, point.error, hit)
-                for point, hit in zip(sweep_result.points, already)
-            ]
+            ).points
         else:
-            outcomes = [
-                (out.spec_hash, out.result, out.error, out.from_store)
-                for out in run_specs(
-                    specs,
-                    registry=resolved_registry,
-                    store=store,
-                    cache=cache,
-                    max_workers=max_workers,
-                    kernel=kernel,
-                    engine=probe_engine(),
-                )
-            ]
-        hits = 0
-        for index, (spec_hash, result, error, hit) in zip(indices, outcomes):
+            outcomes = run_specs(
+                [search.points[index].spec for index in indices],
+                registry=resolved_registry,
+                store=store,
+                cache=cache,
+                max_workers=max_workers,
+                kernel=kernel,
+                engine=probe_engine(),
+                _hashes=hashes,
+            )
+            already = [outcome.from_store for outcome in outcomes]
+        for index, outcome, hit in zip(indices, outcomes, already):
             point = search.points[index]
+            feasible = outcome.ok and spec.constraints.satisfied(outcome.result)
             search.probes[index] = OptimizeProbe(
                 index=index,
                 coords=point.coords,
                 label=point.spec.label,
-                spec_hash=spec_hash,
-                result=result,
-                error=error,
-                feasible=result is not None and spec.constraints.satisfied(result),
+                spec_hash=outcome.spec_hash,
+                estimate=outcome.estimate,
+                error=outcome.error,
+                feasible=feasible,
                 from_store=hit,
             )
-            hits += bool(hit)
+        hits = sum(already)
         return len(indices) - hits, hits
 
     def persist(status: str, result: OptimizeResult | None = None) -> None:

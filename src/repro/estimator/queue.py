@@ -895,15 +895,7 @@ def _drain_job(
                         )
                     _fault_point("evaluated", index)
                     outcome_objs = [
-                        SweepPointOutcome(
-                            index=point.index,
-                            coords=point.coords,
-                            label=point.spec.label,
-                            spec_hash=outcome.spec_hash,
-                            result=outcome.result,
-                            error=outcome.error,
-                            from_store=outcome.from_store,
-                        )
+                        SweepPointOutcome.of(point, outcome)
                         for point, outcome in zip(chunk_points, chunk_outcomes)
                     ]
                     queue.write_done(

@@ -237,3 +237,64 @@ class PhysicalResourceEstimates:
             f"  Logical error rate:         {self.logical_qubit.logical_error_rate:.4g}",
         ]
         return "\n".join(lines)
+
+
+
+class LazyEstimate:
+    """One estimate held as its ``to_dict`` document, its object, or both.
+
+    Each form is derived from the other on first use and then kept. A
+    store hit starts as the digest-verified document the store read and
+    is decoded only if a caller asks for :attr:`result`; a computed point
+    starts as the object and is serialized at most once, however many
+    store writes and serializers read :attr:`document`. Documents may be
+    shared with the store's memory cache: never mutate one.
+    """
+
+    __slots__ = ("_document", "_result")
+
+    def __init__(
+        self,
+        *,
+        document: dict[str, Any] | None = None,
+        result: PhysicalResourceEstimates | None = None,
+    ) -> None:
+        self._document = document
+        self._result = result
+
+    @property
+    def document(self) -> dict[str, Any]:
+        if self._document is None:
+            self._document = self._result.to_dict()
+        return self._document
+
+    @property
+    def result(self) -> PhysicalResourceEstimates:
+        if self._result is None:
+            self._result = PhysicalResourceEstimates.from_dict(self._document)
+        return self._result
+
+
+class HoldsEstimate:
+    """Mixin for outcomes with an ``estimate: LazyEstimate | None`` field.
+
+    The outcomes of specs, sweep points and optimize probes share one
+    :class:`LazyEstimate` per point (``None`` for a failed point), so a
+    sweep or probe view of a spec outcome never decodes or encodes twice.
+    """
+
+    estimate: LazyEstimate | None
+
+    @property
+    def ok(self) -> bool:
+        return self.estimate is not None
+
+    @property
+    def document(self) -> dict[str, Any] | None:
+        """The result document (``None`` for a failed point)."""
+        return self.estimate.document if self.estimate is not None else None
+
+    @property
+    def result(self) -> PhysicalResourceEstimates | None:
+        """The decoded estimate (``None`` for a failed point)."""
+        return self.estimate.result if self.estimate is not None else None

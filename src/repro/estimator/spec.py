@@ -58,7 +58,7 @@ from ..qubits import PhysicalQubitParams
 from ..synthesis import RotationSynthesis
 from .batch import EstimateCache, EstimateRequest, estimate_batch
 from .constraints import Constraints
-from .result import PhysicalResourceEstimates
+from .result import HoldsEstimate, LazyEstimate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
@@ -515,18 +515,21 @@ class EstimateSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class SpecOutcome:
-    """Result of one spec: an estimate (possibly store-served) or an error."""
+class SpecOutcome(HoldsEstimate):
+    """Result of one spec: an estimate (possibly store-served) or an error.
+
+    ``estimate`` holds a store hit as the digest-verified result document
+    the store read, decoded to :attr:`result` only on demand, and a
+    computed point as its :class:`PhysicalResourceEstimates`, serialized
+    to :attr:`document` at most once (the store write and every
+    serializer share that one dict).
+    """
 
     spec: EstimateSpec
     spec_hash: str
-    result: PhysicalResourceEstimates | None
+    estimate: LazyEstimate | None
     error: str | None
     from_store: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
 
 
 def run_specs(
@@ -538,23 +541,30 @@ def run_specs(
     max_workers: int | None = 1,
     kernel: str = "auto",
     engine: "ExecutionEngine | None" = None,
+    _hashes: Sequence[str | None] | None = None,
 ) -> list[SpecOutcome]:
     """Evaluate declarative specs through the store and the batch engine.
 
-    For each spec (order preserved): resolve names through the registry
-    and compute the *resolved* content hash, answer from ``store`` when
-    it holds a valid document, otherwise run through
-    :func:`estimate_batch` (sharing its in-memory cross-point memos and
-    process fan-out) and write successful results back. Keying the store
-    on the resolved hash means a scenario file redefining a profile or
-    scheme name changes the address — a stale result computed for the
-    old definition can never be served. Duplicate hashes within one call
-    are computed once. Invalid specs (unknown profile or scheme names,
-    malformed inline definitions) become failed outcomes rather than
-    aborting the batch — a service must answer per spec.
+    For each spec (order preserved): compute the *resolved* content hash
+    (names inlined through the registry) and answer from ``store`` when
+    it holds a valid document, otherwise resolve the spec into a batch
+    request, run it through :func:`estimate_batch` (sharing its
+    in-memory cross-point memos and process fan-out) and write
+    successful results back. Keying the store on the resolved hash means
+    a scenario file redefining a profile or scheme name changes the
+    address — a stale result computed for the old definition can never
+    be served. Duplicate hashes within one call are computed once.
+    Invalid specs (unknown profile or scheme names, malformed inline
+    definitions) become failed outcomes rather than aborting the batch —
+    a service must answer per spec.
 
-    Store lookups are counted on the cache's :meth:`EstimateCache.stats`
-    under ``store``; passing no cache uses the module-shared one.
+    Store hits travel as the verified result *documents* the store read
+    (:meth:`ResultStore.get` with ``decode=False``); nothing decodes them
+    unless a caller reads :attr:`SpecOutcome.result`. A computed result
+    is serialized at most once, and that document feeds both the store
+    write and the outcome. Store lookups are counted on the cache's
+    :meth:`EstimateCache.stats` under ``store``; passing no cache uses
+    the module-shared one.
 
     ``kernel`` selects the batch evaluation backend (``"auto"``,
     ``"scalar"``, ``"vectorized"``) — named differently from the specs'
@@ -567,6 +577,11 @@ def run_specs(
     per-call pool; results are identical either way. Successful misses
     are persisted with one :meth:`ResultStore.put_many` batch write per
     call rather than per-point writes.
+
+    ``_hashes`` (private) are the specs' resolved content hashes as a
+    caller already computed them (``None`` where names do not resolve;
+    see :func:`repro.estimator.sweep._resolved_hashes`), so sweeps and
+    optimize hash each point once.
     """
     from ..registry import default_registry
     from .batch import _SHARED_CACHE  # shared instance also used by defaults
@@ -575,16 +590,36 @@ def run_specs(
     resolved_registry = registry if registry is not None else default_registry()
 
     hashes: list[str] = []
-    results: dict[str, Any] = {}
+    estimates: dict[str, LazyEstimate] = {}
     errors: dict[int, str] = {}
     from_store: set[str] = set()
     to_run: list[tuple[int, str, EstimateRequest]] = []
     seen_misses: set[str] = set()
 
     for index, spec in enumerate(specs):
+        if _hashes is not None:
+            spec_hash = _hashes[index]
+        else:
+            try:
+                spec_hash = spec.content_hash(resolved_registry)
+            except (KeyError, ValueError, TypeError):
+                spec_hash = None  # raised again below, in resolution order
+        if spec_hash is not None:
+            if spec_hash in estimates or spec_hash in seen_misses:
+                hashes.append(spec_hash)
+                continue  # duplicate of an earlier hit/miss; computed once
+            if store is not None:
+                hit = store.get(spec_hash, decode=False)
+                stats_cache.record_store_lookup(hit is not None)
+                if hit is not None:
+                    hashes.append(spec_hash)
+                    estimates[spec_hash] = LazyEstimate(document=hit)
+                    from_store.add(spec_hash)
+                    continue
         try:
             request = spec.to_request(resolved_registry)
-            spec_hash = spec.content_hash(resolved_registry)
+            if spec_hash is None:
+                spec_hash = spec.content_hash(resolved_registry)
             if store is not None and isinstance(spec.program, ProgramRef):
                 # Layer the persistent counts namespace under the program
                 # factory: even when this *result* is a store miss (new
@@ -611,15 +646,6 @@ def run_specs(
             hashes.append(spec.content_hash())  # syntactic; no store I/O
             continue
         hashes.append(spec_hash)
-        if spec_hash in results or spec_hash in seen_misses:
-            continue  # duplicate of an earlier hit/miss; computed once
-        if store is not None:
-            hit = store.get(spec_hash)
-            stats_cache.record_store_lookup(hit is not None)
-            if hit is not None:
-                results[spec_hash] = hit
-                from_store.add(spec_hash)
-                continue
         seen_misses.add(spec_hash)
         to_run.append((index, spec_hash, request))
 
@@ -634,10 +660,11 @@ def run_specs(
         writes: list[tuple[str, Any, dict[str, Any]]] = []
         for (index, spec_hash, _), outcome in zip(to_run, outcomes):
             if outcome.ok:
-                results[spec_hash] = outcome.result
+                estimate = LazyEstimate(result=outcome.result)
+                estimates[spec_hash] = estimate
                 if store is not None:
                     writes.append(
-                        (spec_hash, outcome.result, specs[index].to_dict())
+                        (spec_hash, estimate.document, specs[index].to_dict())
                     )
             else:
                 errors[index] = outcome.error or "estimation failed"
@@ -649,13 +676,13 @@ def run_specs(
 
     final: list[SpecOutcome] = []
     for index, (spec, spec_hash) in enumerate(zip(specs, hashes)):
-        result = results.get(spec_hash)
-        if result is not None:
+        estimate = estimates.get(spec_hash)
+        if estimate is not None:
             final.append(
                 SpecOutcome(
                     spec=spec,
                     spec_hash=spec_hash,
-                    result=result,
+                    estimate=estimate,
                     error=None,
                     from_store=spec_hash in from_store,
                 )
@@ -676,7 +703,7 @@ def run_specs(
                 SpecOutcome(
                     spec=spec,
                     spec_hash=spec_hash,
-                    result=None,
+                    estimate=None,
                     error=error,
                     from_store=False,
                 )

@@ -195,9 +195,11 @@ class _MemoryCache:
     Populated only from *successful disk reads* — never from writes — so
     every cached value passed the integrity digest at least once in this
     process, and the corruption contract (a damaged file reads as a
-    miss) is preserved for entries that were never read back. Cached
-    values are frozen dataclasses (:class:`PhysicalResourceEstimates`,
-    :class:`LogicalCounts`), safe to hand out shared.
+    miss) is preserved for entries that were never read back. The
+    results namespace holds verified result documents (plain dicts,
+    decoded on demand by :meth:`ResultStore.get`); readers share them
+    and must never mutate one. The counts namespace holds frozen
+    :class:`LogicalCounts`.
     """
 
     __slots__ = ("capacity", "hits", "misses", "_entries", "_lock")
@@ -405,8 +407,18 @@ class ResultStore:
             return None
         return document
 
-    def get(self, spec_hash: str) -> PhysicalResourceEstimates | None:
+    def get(
+        self, spec_hash: str, *, decode: bool = True
+    ) -> PhysicalResourceEstimates | dict[str, Any] | None:
         """The stored result for a hash, deserialized, or ``None``.
+
+        With ``decode=False`` the answer is the stored *result document*
+        (the ``result`` dict of :meth:`get_raw`) instead, accepted on
+        exactly :meth:`get_raw`'s checks and never decoded — the path
+        :func:`~repro.estimator.spec.run_specs` serves hits on. The
+        document is shared with the memory cache: do not mutate it.
+        Decoding happens only for ``decode=True``, where a document this
+        build cannot decode reads as a miss.
 
         Repeated reads of one hash within a process answer from the
         bounded in-memory LRU (populated only by verified disk reads —
@@ -414,18 +426,19 @@ class ResultStore:
         ``memoryCache`` in :meth:`stats`.
         """
         self._check_hash(spec_hash)
-        cached = self._result_cache.get(spec_hash)
-        if cached is not None:
-            return cached
-        document = self.get_raw(spec_hash)
-        if document is None:
-            return None
+        result = self._result_cache.get(spec_hash)
+        if result is None:
+            document = self.get_raw(spec_hash)
+            if document is None:
+                return None
+            result = document["result"]
+            self._result_cache.put(spec_hash, result)
+        if not decode:
+            return result
         try:
-            result = PhysicalResourceEstimates.from_dict(document["result"])
+            return PhysicalResourceEstimates.from_dict(result)
         except (KeyError, TypeError, ValueError):
             return None  # written by an incompatible (future) build
-        self._result_cache.put(spec_hash, result)
-        return result
 
     def __contains__(self, spec_hash: str) -> bool:
         return self.get_raw(spec_hash) is not None
@@ -442,6 +455,20 @@ class ResultStore:
 
     # -- writes ------------------------------------------------------------
 
+    def _result_envelope(
+        self,
+        spec_hash: str,
+        result: PhysicalResourceEstimates | dict[str, Any],
+        spec: dict[str, Any] | None,
+    ) -> dict[str, Any]:
+        """The stored document for one result (or its ``to_dict``)."""
+        return {
+            "schema": self.schema,
+            "specHash": spec_hash,
+            "spec": spec,
+            "result": result if isinstance(result, dict) else result.to_dict(),
+        }
+
     def put(
         self,
         spec_hash: str,
@@ -457,12 +484,7 @@ class ResultStore:
         instead of failing the estimation that produced the result.
         """
         path = self.path_for(spec_hash)
-        document = {
-            "schema": self.schema,
-            "specHash": spec_hash,
-            "spec": spec,
-            "result": result.to_dict(),
-        }
+        document = self._result_envelope(spec_hash, result, spec)
         ok = self._write_document(path, document)
         if ok:
             self._note_document_written(path)
@@ -471,7 +493,11 @@ class ResultStore:
     def put_many(
         self,
         entries: Iterable[
-            tuple[str, PhysicalResourceEstimates, dict[str, Any] | None]
+            tuple[
+                str,
+                PhysicalResourceEstimates | dict[str, Any],
+                dict[str, Any] | None,
+            ]
         ],
     ) -> int:
         """Persist many result documents with one bookkeeping pass.
@@ -479,7 +505,9 @@ class ResultStore:
         Equivalent to calling :meth:`put` per ``(spec_hash, result,
         spec)`` entry, but the stats invalidation, byte-estimate growth,
         and eviction check run once for the whole batch instead of once
-        per point — the chunk-write path of
+        per point. ``result`` may also be the estimate's ``to_dict``
+        document, which a caller that already holds it passes to skip a
+        re-encode. The chunk-write path of
         :func:`repro.estimator.spec.run_specs` uses this so persistence
         bookkeeping stays off the per-point hot path. Returns the number
         of documents actually written (unwritable documents are skipped,
@@ -489,12 +517,7 @@ class ResultStore:
         batch_bytes = 0
         for spec_hash, result, spec in entries:
             path = self.path_for(spec_hash)
-            document = {
-                "schema": self.schema,
-                "specHash": spec_hash,
-                "spec": spec,
-                "result": result.to_dict(),
-            }
+            document = self._result_envelope(spec_hash, result, spec)
             if self._write_document(path, document):
                 written += 1
                 if self.max_bytes is not None:

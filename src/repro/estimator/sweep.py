@@ -58,8 +58,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from .result import PhysicalResourceEstimates
-from .spec import SPEC_SCHEMA, EstimateSpec, run_specs
+from .result import HoldsEstimate, LazyEstimate
+from .spec import SPEC_SCHEMA, EstimateSpec, SpecOutcome, run_specs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..registry import Registry
@@ -501,45 +501,90 @@ class SweepSpec:
         (``range`` vs the explicit list) hash identically, so one
         finished sweep answers every equivalent resubmission.
         """
-        points = []
-        for point in self.expand():
-            try:
-                spec_hash = point.spec.content_hash(registry)
-            except KeyError:
-                spec_hash = point.spec.content_hash()  # unresolvable names
-            points.append(
-                {"coords": [[f, v] for f, v in point.coords], "spec": spec_hash}
-            )
+        return self._hash_with_points(registry)[0]
+
+    def _hash_with_points(
+        self, registry: "Registry | None"
+    ) -> tuple[str, list[str | None]]:
+        """:meth:`content_hash` plus the resolved point hashes under it.
+
+        :func:`run_sweep` hands the point hashes to :func:`run_specs`, so
+        a sweep hashes each point once.
+        """
+        points = self.expand()
+        hashes = _resolved_hashes(points, registry)
         canonical = {
             "schema": SWEEP_SCHEMA,
             "specSchema": SPEC_SCHEMA,
             "frontier": self.frontier.to_dict() if self.frontier else None,
-            "points": points,
+            "points": _hashed_points(points, hashes),
         }
         payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(f"{SWEEP_SCHEMA}\n{payload}".encode()).hexdigest()
+        digest = hashlib.sha256(f"{SWEEP_SCHEMA}\n{payload}".encode()).hexdigest()
+        return digest, hashes
+
+
+def _resolved_hashes(
+    points: Sequence[SweepPoint], registry: "Registry | None"
+) -> list[str | None]:
+    """Each point's resolved spec hash, ``None`` where names do not resolve."""
+    hashes: list[str | None] = []
+    for point in points:
+        try:
+            hashes.append(point.spec.content_hash(registry))
+        except KeyError:
+            hashes.append(None)
+    return hashes
+
+
+def _hashed_points(
+    points: Sequence[SweepPoint], hashes: Sequence[str | None]
+) -> list[dict[str, Any]]:
+    """The ``points`` entries of a sweep or optimize canonical form.
+
+    An unresolvable point is identified by its syntactic hash instead.
+    """
+    return [
+        {
+            "coords": [[f, v] for f, v in point.coords],
+            "spec": spec_hash or point.spec.content_hash(),
+        }
+        for point, spec_hash in zip(points, hashes)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
-class SweepPointOutcome:
+class SweepPointOutcome(HoldsEstimate):
     """Result of one sweep point.
 
-    ``from_store`` is execution provenance — reported in progress events
-    and job status, deliberately excluded from :meth:`to_dict` so a
-    resumed sweep serializes bit-for-bit equal to an uninterrupted one.
+    Serialization and frontier reduction read the point's result
+    :attr:`document`; :attr:`result` decodes it only when a caller asks
+    (see :class:`~repro.estimator.result.LazyEstimate`). ``from_store``
+    is execution provenance — reported in progress events and job
+    status, deliberately excluded from :meth:`to_dict` so a resumed sweep
+    serializes bit-for-bit equal to an uninterrupted one.
     """
 
     index: int
     coords: tuple[tuple[str, Any], ...]
     label: str | None
     spec_hash: str
-    result: PhysicalResourceEstimates | None
+    estimate: LazyEstimate | None
     error: str | None
     from_store: bool = False
 
-    @property
-    def ok(self) -> bool:
-        return self.result is not None
+    @classmethod
+    def of(cls, point: SweepPoint, outcome: "SpecOutcome") -> "SweepPointOutcome":
+        """The sweep view of one :func:`run_specs` outcome."""
+        return cls(
+            index=point.index,
+            coords=point.coords,
+            label=point.spec.label,
+            spec_hash=outcome.spec_hash,
+            estimate=outcome.estimate,
+            error=outcome.error,
+            from_store=outcome.from_store,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -548,7 +593,7 @@ class SweepPointOutcome:
             "label": self.label,
             "specHash": self.spec_hash,
             "ok": self.ok,
-            "result": self.result.to_dict() if self.result is not None else None,
+            "result": self.document,
             "error": self.error,
         }
 
@@ -560,7 +605,7 @@ def _outcome_from_dict(
 
     Shared by :meth:`SweepResult.from_dict` and the work queue's chunk
     assembly — one parser, so both paths reconstruct identical objects
-    from identical bytes.
+    from identical bytes. The result document is kept as read, undecoded.
     """
     return SweepPointOutcome(
         index=entry["index"],
@@ -569,13 +614,19 @@ def _outcome_from_dict(
         ),
         label=entry.get("label"),
         spec_hash=entry["specHash"],
-        result=(
-            PhysicalResourceEstimates.from_dict(entry["result"])
-            if entry.get("result") is not None
-            else None
-        ),
+        estimate=_stored_estimate(entry),
         error=entry.get("error"),
     )
+
+
+def _stored_estimate(entry: dict[str, Any]) -> LazyEstimate | None:
+    """The undecoded ``result`` of a serialized point or probe."""
+    document = entry.get("result")
+    if document is None:
+        return None
+    if not isinstance(document, dict):
+        raise ValueError(f"point result must be an object, got {document!r}")
+    return LazyEstimate(document=document)
 
 
 @dataclass(frozen=True, eq=False)
@@ -745,34 +796,22 @@ def _reduce_frontiers(
         if not feasible:
             reduced.append(FrontierGroup(key=key, indices=()))
             continue
-        if spec.objective == "qubits-runtime":
-            keep = pareto_min_indices(
-                [
-                    (point.result.runtime_seconds, point.result.physical_qubits)
-                    for point in feasible
-                ]
+        # (runtime in seconds, physical qubits, index) per feasible point.
+        ranked = [
+            (
+                point.document["physicalCounts"]["runtime_s"],
+                point.document["physicalCounts"]["physicalQubits"],
+                point.index,
             )
+            for point in feasible
+        ]
+        if spec.objective == "qubits-runtime":
+            keep = pareto_min_indices([rank[:2] for rank in ranked])
             indices = tuple(feasible[i].index for i in keep)
         elif spec.objective == "min-qubits":
-            best = min(
-                feasible,
-                key=lambda point: (
-                    point.result.physical_qubits,
-                    point.result.runtime_seconds,
-                    point.index,
-                ),
-            )
-            indices = (best.index,)
+            indices = (min(ranked, key=lambda r: (r[1], r[0], r[2]))[2],)
         else:  # min-runtime
-            best = min(
-                feasible,
-                key=lambda point: (
-                    point.result.runtime_seconds,
-                    point.result.physical_qubits,
-                    point.index,
-                ),
-            )
-            indices = (best.index,)
+            indices = (min(ranked)[2],)
         reduced.append(FrontierGroup(key=key, indices=indices))
     return reduced
 
@@ -893,7 +932,7 @@ def run_sweep(
             )
         return assembled
     points = spec.expand()
-    sweep_hash = spec.content_hash(resolved_registry)
+    sweep_hash, point_hashes = spec._hash_with_points(resolved_registry)
     # Chunking exists to bound the work lost on a kill between persisted
     # chunks; without a store nothing persists, so default to one chunk
     # (one batch call, one process pool) unless the caller asked for more.
@@ -936,22 +975,13 @@ def run_sweep(
                     max_workers=max_workers,
                     kernel=kernel,
                     engine=engine,
+                    _hashes=point_hashes[position : position + len(chunk)],
                 )
             elapsed = time.perf_counter() - started
             position += len(chunk)
             chunk_index += 1
             for point, outcome in zip(chunk, chunk_outcomes):
-                outcomes.append(
-                    SweepPointOutcome(
-                        index=point.index,
-                        coords=point.coords,
-                        label=point.spec.label,
-                        spec_hash=outcome.spec_hash,
-                        result=outcome.result,
-                        error=outcome.error,
-                        from_store=outcome.from_store,
-                    )
-                )
+                outcomes.append(SweepPointOutcome.of(point, outcome))
                 if outcome.ok:
                     ok += 1
                 else:

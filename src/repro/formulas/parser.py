@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ast import BinaryOp, Call, FormulaError, FormulaNode, Number, UnaryOp, Variable
 
@@ -157,8 +158,15 @@ class _Parser:
         )
 
 
+@lru_cache(maxsize=1024)
 def parse(text: str) -> FormulaNode:
-    """Parse a formula string into an AST."""
+    """Parse a formula string into an AST.
+
+    Memoized by source text: nodes are frozen dataclasses, so one tree per
+    distinct string is safe to share, and the schemes and distillation
+    units of stored results repeat a handful of strings endlessly. Parse
+    errors are not cached.
+    """
     tokens = tokenize(text)
     if not tokens:
         raise FormulaParseError("empty formula")

@@ -687,7 +687,7 @@ class EstimationService:
                     "label": spec.label,
                     "ok": outcome.ok,
                     "fromStore": outcome.from_store,
-                    "result": outcome.result.to_dict() if outcome.ok else None,
+                    "result": outcome.document,
                     "error": outcome.error,
                 }
         return records  # type: ignore[return-value]
@@ -1088,6 +1088,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    # Replies leave in two writes (headers, then body). With Nagle on, a
+    # kept-alive connection holds the body until the client's delayed
+    # ACK of the headers (~40 ms per reply); TCP_NODELAY sends it now.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

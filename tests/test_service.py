@@ -187,6 +187,38 @@ class TestSubmit:
         assert "rotations" in records[1]["error"]
 
 
+class TestKeepAlive:
+    def test_kept_alive_store_hits_do_not_wait_for_delayed_acks(self, service):
+        # Headers and body leave in separate writes; without TCP_NODELAY
+        # each reply on a kept-alive connection stalls on the client's
+        # delayed ACK (~40 ms), so 20 hits would take >= 0.8 s.
+        import http.client
+        from urllib.parse import urlsplit
+
+        body = json.dumps(
+            EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3").to_dict()
+        )
+        headers = {"Content-Type": "application/json"}
+        with service_server(service) as served:
+            address = urlsplit(served.base_url)
+            connection = http.client.HTTPConnection(
+                address.hostname, address.port, timeout=10
+            )
+            try:
+                connection.request("POST", "/v1/estimate", body, headers)
+                assert json.loads(connection.getresponse().read())["ok"]
+                started = time.perf_counter()
+                for _ in range(20):
+                    connection.request("POST", "/v1/estimate", body, headers)
+                    reply = connection.getresponse()
+                    record = json.loads(reply.read())
+                    assert reply.status == 200 and record["fromStore"]
+                elapsed = time.perf_counter() - started
+            finally:
+                connection.close()
+        assert elapsed < 0.5, f"20 kept-alive store hits took {elapsed:.3f} s"
+
+
 class TestResultsEndpoint:
     def test_get_by_hash_round_trips(self, client):
         spec = EstimateSpec(program=COUNTS, qubit="qubit_maj_ns_e4", budget=1e-4)

@@ -655,3 +655,87 @@ class TestPutMany:
         store = ResultStore(tmp_path / "capped", max_bytes=document_bytes + 8)
         store.put_many([(HASH_A, result, None), (HASH_B, result, None)])
         assert len(store) == 1
+
+
+class TestDocumentPath:
+    """Store hits travel as verified result documents, decoded on demand."""
+
+    SPEC = EstimateSpec(program=COUNTS, qubit="qubit_gate_ns_e3", budget=1e-3)
+
+    def _store_document(self, store, spec_hash, result_document):
+        """Write a digest-valid result document with arbitrary content."""
+        from repro.estimator.store import write_document
+
+        assert write_document(
+            store.path_for(spec_hash),
+            {
+                "schema": store.schema,
+                "specHash": spec_hash,
+                "spec": None,
+                "result": result_document,
+            },
+        )
+
+    def test_undecodable_document_is_served_as_stored(self, tmp_path):
+        from repro.service import EstimationService
+
+        registry = Registry()
+        spec_hash = self.SPEC.content_hash(registry)
+        stored = {"fromAFutureBuild": [1, 2, 3]}
+        store = ResultStore(tmp_path)
+        self._store_document(store, spec_hash, stored)
+
+        # The document path accepts what GET /v1/results/<hash> serves...
+        assert store.get_raw(spec_hash)["result"] == stored
+        assert store.get(spec_hash, decode=False) == stored
+        (outcome,) = run_specs([self.SPEC], registry=registry, store=store)
+        assert outcome.from_store and outcome.ok
+        assert outcome.document == stored
+        service = EstimationService(registry=registry, store=store)
+        (record,) = service.submit({"specs": [self.SPEC.to_dict()]})["results"]
+        assert record["fromStore"] and record["result"] == stored
+        assert record["result"] == service.result_document(spec_hash)["result"]
+        # ...while the decoding read still treats it as a miss.
+        assert store.get(spec_hash) is None
+        assert ResultStore(tmp_path).get(spec_hash) is None
+
+    def test_cached_document_survives_serializers_unchanged(self, tmp_path):
+        import copy
+
+        from repro.estimator.sweep import SweepSpec, run_sweep
+        from repro.service import EstimationService
+
+        registry = Registry()
+        sweep = SweepSpec.from_dict(
+            {
+                "base": {"program": {"counts": COUNTS.to_dict()}},
+                "axes": [{"field": "qubit", "values": ["qubit_gate_ns_e3"]}],
+                "frontier": {"objective": "qubits-runtime"},
+            }
+        )
+        store = ResultStore(tmp_path)
+        run_sweep(sweep, registry=registry, store=store)  # fills the store
+        (spec_hash,) = list(store.keys())
+        cached = store.get(spec_hash, decode=False)
+        snapshot = copy.deepcopy(cached)
+        service = EstimationService(registry=registry, store=store)
+        payload = {"specs": [sweep.expand()[0].spec.to_dict()]}
+        for _ in range(2):
+            (record,) = service.submit(payload)["results"]
+            json.dumps(record)
+            result = run_sweep(sweep, registry=registry, store=store)
+            assert result.points[0].document is cached
+            json.dumps(result.to_dict(), indent=2)
+            result.to_csv()
+        assert store.get(spec_hash, decode=False) is cached
+        assert cached == snapshot
+        assert store.get(spec_hash) == estimate(
+            COUNTS, qubit_params("qubit_gate_ns_e3")
+        )
+
+    def test_computed_points_write_the_document_they_return(self, tmp_path):
+        store = ResultStore(tmp_path)
+        (outcome,) = run_specs([self.SPEC], store=store)
+        assert not outcome.from_store
+        assert store.get_raw(outcome.spec_hash)["result"] == outcome.document
+        assert outcome.document == outcome.result.to_dict()
